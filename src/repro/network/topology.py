@@ -58,6 +58,8 @@ class BroadcastTree:
     #: remaining maximum depth (in links) below each tree node; used by
     #: co-located switch/endpoint nodes to adjust slack on local delivery.
     depth_below: Dict[NodeId, int] = field(default_factory=dict)
+    #: memoised :meth:`link_count` (trees are built whole, then only read).
+    _link_count: int = field(default=-1, init=False, repr=False, compare=False)
 
     def branches_from(self, node: NodeId) -> List[Tuple[NodeId, int]]:
         return self.children.get(node, [])
@@ -73,7 +75,9 @@ class BroadcastTree:
 
     def link_count(self) -> int:
         """Total directed links used by one broadcast along this tree."""
-        return sum(len(branches) for branches in self.children.values())
+        if self._link_count < 0:
+            self._link_count = sum(len(branches) for branches in self.children.values())
+        return self._link_count
 
     def all_endpoints_reached(self, num_endpoints: int) -> bool:
         return set(self.arrival_hops.keys()) == set(range(num_endpoints))

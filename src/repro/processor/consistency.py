@@ -248,7 +248,10 @@ def check_snoop_home_invariant(nodes: Iterable) -> List[str]:
       agreeing with the O holder's version);
     * a cleared owner bit (memory owns) means no cache holds the block M or
       O, and every S holder agrees with memory's version token;
-    * no writeback may still be buffered.
+    * no writeback may still be buffered;
+    * the shared interest mask is a superset: every node holding a block
+      in a non-I state, an MSHR or a writeback-buffer entry for it has its
+      bit set (otherwise the analytical network would skip its snoops).
     """
     node_list = list(nodes)
     holders, versions = _collect_holders(node_list)
@@ -259,6 +262,20 @@ def check_snoop_home_invariant(nodes: Iterable) -> List[str]:
                 f"node {controller.node}: writeback buffer not drained "
                 f"({sorted(controller.writeback_buffer)})"
             )
+        tracked = set(controller.writeback_buffer)
+        tracked.update(controller.mshrs.blocks_in_flight())
+        tracked.update(
+            block
+            for block in controller.cache.resident_blocks()
+            if controller.cache.state_of(block) is not CacheState.INVALID
+        )
+        interest = controller.interest
+        for block in sorted(tracked):
+            if not (interest.get(block, 0) >> controller.node) & 1:
+                problems.append(
+                    f"block {block}: node {controller.node} may act on it "
+                    f"but its interest bit is clear"
+                )
         for block, home_state in controller.home_blocks.items():
             block_holders = holders.get(block, {})
             modified = sorted(

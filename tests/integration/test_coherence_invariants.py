@@ -199,3 +199,11 @@ class TestCheckersDetectCorruption:
         home_state.version += 7
         problems = check_snoop_home_invariant(system.controllers)
         assert any("version" in problem for problem in problems)
+
+    def test_snoop_checker_flags_cleared_interest_bit(self):
+        system = self._quiescent_system("ts-snoop")
+        controller, block = self._first_shared_holder(system)
+        assert not check_snoop_home_invariant(system.controllers)
+        controller.interest[block] &= ~(1 << controller.node)
+        problems = check_snoop_home_invariant(system.controllers)
+        assert any("interest bit" in problem for problem in problems)
