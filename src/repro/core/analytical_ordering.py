@@ -118,10 +118,9 @@ class AnalyticalTimestampNetwork(AddressNetworkInterface):
         )
         self._ordering_delay_cache: Dict[tuple, int] = {}
         self._logical_counter = 0
-        #: Pre-bound batched push: both the early deliveries and the ordered
-        #: fan-out are fire-and-forget, so every broadcast folds into the
-        #: per-tick dispatch batches instead of paying one kernel event per
-        #: endpoint notification.
+        #: Pre-bound handle-free push: both the early deliveries and the
+        #: ordered fan-out are fire-and-forget, and one ordered entry per
+        #: broadcast replaces an event per endpoint notification.
         self._sched_batched = sim.schedule_batched
         # Pre-bound counter handles for the per-broadcast fast path.
         self._ctr_broadcasts = self.stats.counter("broadcasts")
@@ -200,8 +199,7 @@ class AnalyticalTimestampNetwork(AddressNetworkInterface):
         # event priority), exactly as the detailed token network and the
         # paper's Section 2.2 prescribe.
         # The pre-bound handler + packed payload replaces a per-broadcast
-        # closure (pooled event shells and per-tick batches make the whole
-        # path allocation-free).
+        # closure.
         sched_batched(
             ordered_delay,
             self._deliver_ordered,

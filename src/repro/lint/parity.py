@@ -1,8 +1,7 @@
 """Registry-parity rules (REG001, REG002).
 
 REG001: every registered fast implementation must mirror its reference's
-public API: ``SCHEDULERS`` ("heapq" is the reference) and ``CACHE_ARRAYS``
-("dict" is the reference).  The rule imports the live registries and
+public API: ``CACHE_ARRAYS`` ("dict" is the reference).  The rule imports the live registries and
 compares public method signatures with :mod:`inspect` -- names, parameter
 names and parameter kinds -- so API drift fails at lint time instead of
 surfacing as an ``AttributeError`` deep inside an equivalence run.
@@ -164,12 +163,6 @@ def _render(shape: List[Tuple[str, str]]) -> str:
 
 #: Files that own a registry -> loader returning (registry, reference key,
 #: registry name).  The rule fires once per owning file during a sweep.
-def _load_schedulers():
-    from repro.sim.kernel import SCHEDULERS
-
-    return SCHEDULERS, "heapq", "SCHEDULERS"
-
-
 def _load_cache_arrays():
     from repro.memory.cache import CACHE_ARRAYS
 
@@ -177,7 +170,6 @@ def _load_cache_arrays():
 
 
 REGISTRY_OWNERS = {
-    "repro/sim/kernel.py": _load_schedulers,
     "repro/memory/cache.py": _load_cache_arrays,
 }
 

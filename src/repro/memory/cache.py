@@ -6,8 +6,7 @@ version token per line; actual data values are not simulated (the simulator
 is a timing/protocol model), but version tokens let the consistency checker
 verify that reads observe the latest write in the global order.
 
-Two implementations share one API (the :data:`CACHE_ARRAYS` registry, the
-same pattern as ``repro.sim.kernel.SCHEDULERS``):
+Two implementations share one API (the :data:`CACHE_ARRAYS` registry):
 
 * :class:`CacheArray` -- the reference implementation, one ``CacheLine``
   heap object per resident line in a per-set dict;
@@ -467,9 +466,8 @@ class PackedCacheArray:
 #: Either implementation, for type annotations at the call sites.
 AnyCacheArray = Union[CacheArray, PackedCacheArray]
 
-#: Registry of interchangeable cache-array implementations (same pattern as
-#: ``repro.sim.kernel.SCHEDULERS``).  "packed" is the fast default; "dict"
-#: is the reference kept for equivalence testing.
+#: Registry of interchangeable cache-array implementations.  "packed" is
+#: the fast default; "dict" is the reference kept for equivalence testing.
 CACHE_ARRAYS = {"dict": CacheArray, "packed": PackedCacheArray}
 DEFAULT_CACHE_ARRAY = "packed"
 

@@ -47,25 +47,17 @@ def calibrate(iterations: int = 2_000_000, repeats: int = 3) -> float:
     return best
 
 
-def _run_scheduler_churn(
-    scheduler: str,
-    chains: int,
-    events: int,
-    event_pool: bool = True,
-    batched: bool = False,
-) -> tuple:
+def _run_churn(chains: int, events: int, batched: bool) -> tuple:
     """Event churn shaped like the simulator's hot path.
 
     ``chains`` concurrent hop chains each fan eight same-tick deliveries
     plus one token-priority event per wave -- the dense near-future
-    distribution that link/switch hops produce and the calendar queue is
-    tuned for.  ``batched=True`` schedules the fan-out through the
-    fire-and-forget tick-batch path (bare pairs in the tick lane) the
-    protocol producers use.
+    distribution that link/switch hops produce.  ``batched=True`` schedules
+    the fan-out through the handle-free ``schedule_batched`` path the
+    protocol producers use; ``batched=False`` through ``schedule``, which
+    also allocates a cancellable handle per event.
     """
-    sim = Simulator(
-        scheduler=scheduler, event_pool=event_pool, batched_dispatch=batched
-    )
+    sim = Simulator()
     fanout = 8
     count = 0
 
@@ -109,50 +101,29 @@ def _noop_arg(arg) -> None:
 
 
 def kernel_microbench(scale: float = 1.0) -> Dict[str, Any]:
-    """Scheduler/pool/batching microbenchmark (the kernel tentpole metric).
+    """Event-kernel microbenchmark.
 
-    The headline ``runtime_s`` / ``events_per_sec`` are the default
-    configuration's (calendar queue + event pool + batched dispatch, the
-    path the protocol producers use); the reference heapq numbers, the
-    timing-wheel, no-pool and unbatched variants and the speedups ride
+    The headline ``runtime_s`` / ``events_per_sec`` time the churn with its
+    fan-out on ``schedule_batched`` (the path the protocol producers use);
+    the same churn with the fan-out on handle-returning ``schedule`` rides
     along in ``metrics``.
     """
     chains = max(50, int(600 * scale))
     events = max(20_000, int(400_000 * scale))
 
     # Best-of-N absorbs one-off host noise (GC pause, container throttle).
-    def best(
-        scheduler: str,
-        event_pool: bool = True,
-        batched: bool = False,
-        repeats: int = 2,
-    ) -> tuple:
+    def best(batched: bool, repeats: int = 2) -> tuple:
         return min(
-            (
-                _run_scheduler_churn(scheduler, chains, events, event_pool, batched)
-                for _ in range(repeats)
-            ),
+            (_run_churn(chains, events, batched) for _ in range(repeats)),
             key=lambda pair: pair[1],
         )
 
-    heapq_events, heapq_s = best("heapq", event_pool=False)
-    calendar_events, calendar_s = best("calendar")
-    nopool_events, nopool_s = best("calendar", event_pool=False)
-    wheel_events, wheel_s = best("wheel")
-    batched_events, batched_s = best("calendar", batched=True)
-    event_counts = {
-        heapq_events,
-        calendar_events,
-        nopool_events,
-        wheel_events,
-        batched_events,
-    }
-    assert len(event_counts) == 1, "schedulers processed different work"
-    heapq_eps = heapq_events / heapq_s if heapq_s else 0.0
-    calendar_eps = calendar_events / calendar_s if calendar_s else 0.0
-    nopool_eps = nopool_events / nopool_s if nopool_s else 0.0
-    wheel_eps = wheel_events / wheel_s if wheel_s else 0.0
+    batched_events, batched_s = best(batched=True)
+    handle_events, handle_s = best(batched=False)
+    if batched_events != handle_events:
+        raise RuntimeError("kernel_microbench: the two churn shapes diverged")
     batched_eps = batched_events / batched_s if batched_s else 0.0
+    handle_eps = handle_events / handle_s if handle_s else 0.0
     return make_scenario(
         name="kernel_microbench",
         runtime_s=batched_s,
@@ -160,16 +131,9 @@ def kernel_microbench(scale: float = 1.0) -> Dict[str, Any]:
         events=batched_events,
         metrics={
             "chains": chains,
-            "heapq_runtime_s": heapq_s,
-            "heapq_events_per_sec": heapq_eps,
-            "calendar_events_per_sec": calendar_eps,
-            "calendar_nopool_events_per_sec": nopool_eps,
-            "wheel_events_per_sec": wheel_eps,
             "batched_events_per_sec": batched_eps,
-            "speedup": batched_eps / heapq_eps if heapq_eps else 0.0,
-            "pool_speedup": calendar_eps / nopool_eps if nopool_eps else 0.0,
-            "wheel_vs_calendar": wheel_eps / calendar_eps if calendar_eps else 0.0,
-            "batch_speedup": batched_eps / calendar_eps if calendar_eps else 0.0,
+            "handle_runtime_s": handle_s,
+            "handle_events_per_sec": handle_eps,
         },
     )
 
@@ -219,14 +183,11 @@ def _scale_comparison(
     workload: str = "oltp",
 ) -> Dict[str, Any]:
     """One ``scale``-suite scenario: a large-node run on the packed data
-    path with batched dispatch, timed against the dict/object reference
-    data path and against unbatched dispatch.
+    path, timed against the dict/object reference data path.
 
-    The headline ``runtime_s`` / ``events_per_sec`` are the default fast
-    path's (packed + batched); the reference-data-path and
-    unbatched-dispatch numbers, the speedups and bit-identity checks ride
-    along in ``metrics`` (mirroring ``kernel_microbench``'s
-    calendar-vs-heapq shape).  Each variant is timed best-of-two: single
+    The headline ``runtime_s`` / ``events_per_sec`` are the packed default's;
+    the reference-data-path numbers, the speedup and the bit-identity check
+    ride along in ``metrics``.  Each variant is timed best-of-two: single
     multi-second runs on a shared CI host see one-off noise (GC pause,
     container throttle) well above the effects being tracked.
     """
@@ -254,26 +215,15 @@ def _scale_comparison(
             protocol=protocol, network=network, num_nodes=num_nodes
         ).with_reference_data_path()
     )
-    unbatched, unbatched_s = timed_best(
-        SystemConfig(
-            protocol=protocol,
-            network=network,
-            num_nodes=num_nodes,
-            batched_dispatch=False,
-        )
-    )
 
     if packed != reference:
         # A hard error, not an assert: a benchmark must never publish packed
         # numbers for a data path that diverged from its reference (and
         # asserts vanish under ``python -O``).
         raise RuntimeError(f"{name}: packed and reference data paths diverged")
-    if packed != unbatched:
-        raise RuntimeError(f"{name}: batched and unbatched dispatch diverged")
     events = packed.sim_events
     packed_eps = events / packed_s if packed_s else 0.0
     reference_eps = reference.sim_events / reference_s if reference_s else 0.0
-    unbatched_eps = unbatched.sim_events / unbatched_s if unbatched_s else 0.0
     speedup = packed_eps / reference_eps if reference_eps else 0.0
     return make_scenario(
         name=name,
@@ -289,12 +239,7 @@ def _scale_comparison(
             "reference_runtime_s": reference_s,
             "reference_events_per_sec": reference_eps,
             "packed_events_per_sec": packed_eps,
-            "unbatched_runtime_s": unbatched_s,
-            "unbatched_events_per_sec": unbatched_eps,
             "speedup_vs_reference": speedup,
-            "batching_speedup": packed_eps / unbatched_eps
-            if unbatched_eps
-            else 0.0,
             "bit_identical": True,
         },
     )

@@ -228,9 +228,8 @@ class Processor(Component):
         think_ns = (think + ipns - 1) // ipns
         # The blocking processor has at most one reference in flight, so the
         # pending reference rides on the instance instead of a per-reference
-        # closure; the issue event is fire-and-forget, so it rides the
-        # per-tick dispatch batches (one call layer and one kernel push+pop
-        # per reference add up).
+        # closure; the issue event is fire-and-forget, so it takes the
+        # handle-free schedule_batched path.
         self._pending_block = block
         self._pending_access = access_type
         self.sim.schedule_batched(think_ns, self._issue_pending)

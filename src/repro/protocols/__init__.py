@@ -19,9 +19,8 @@ Two matrix extensions beyond the paper (ROADMAP item 3):
 * :mod:`repro.protocols.moesi_snoop` -- **MOESISnoop**, TS-Snoop plus an
   owned-sharing (O) state that supplies data without memory writebacks.
 
-:data:`PROTOCOLS` is the canonical registry (same pattern as
-``repro.sim.kernel.SCHEDULERS``): canonical lower-case name -> factory
-class.  ``repro.api`` and ``repro.lint`` both derive their protocol lists
+:data:`PROTOCOLS` is the canonical registry: canonical lower-case name ->
+factory class.  ``repro.api`` and ``repro.lint`` both derive their protocol lists
 from it, so adding a protocol here is the single registration point.
 """
 

@@ -23,9 +23,7 @@ traffic accounting.
 
 Every delayed directory action -- forwards, invalidation fan-outs, NACKs,
 writeback acks, memory data -- is a fire-and-forget send, so they all go
-through the kernel's per-tick batched dispatch (``schedule_batched``): one
-home controller tick schedules O(distinct delays) kernel events instead of
-O(messages).
+through the kernel's handle-free ``schedule_batched`` path.
 """
 # repro-lint: hot
 

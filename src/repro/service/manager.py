@@ -622,6 +622,11 @@ class JobManager:
         :class:`~repro.service.cache.ResultCache` frontier, so only the
         missing replicas are actually recomputed; the merged result is
         bit-identical to an uninterrupted run.
+
+        A journalled spec that no longer validates (say, it overrides a
+        config field this version removed) cannot be resubmitted: its job
+        is journalled as failed, with the validation error, and recovery
+        goes on with the rest.
         """
         if self._closed:
             raise RuntimeError("manager is closed")
@@ -629,9 +634,15 @@ class JobManager:
             return []
         handles: List[JobHandle] = []
         for entry in self.journal.unfinished_jobs():
-            spec = ExperimentSpec.from_document(entry.spec)
-            config = spec.config(self.base_config)
-            profile = spec.profile()
+            try:
+                spec = ExperimentSpec.from_document(entry.spec)
+                config = spec.config(self.base_config)
+                profile = spec.profile()
+            except ValueError as error:
+                self._journal_record(
+                    None, "job-failed", job=entry.job_id, error=repr(error)
+                )
+                continue
             handle = self._launch(
                 spec,
                 entry.priority,

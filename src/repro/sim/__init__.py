@@ -1,20 +1,19 @@
 """Discrete-event simulation kernel.
 
-The kernel is deliberately small: an event queue keyed on (time, priority,
-sequence), a :class:`Simulator` that drains it, a :class:`Component` base
-class for model objects that schedule events, deterministic random number
-management (including the paper's "perturbation" methodology, Section 4.3),
+The kernel is deliberately small: a :class:`Simulator` that owns the clock
+and one event queue dispatched in (time, priority, FIFO) order, a
+:class:`Component` base class for model objects that schedule events,
+deterministic random number management (including the paper's "perturbation" methodology, Section 4.3),
 and statistics containers used throughout the library.
 """
 
-from repro.sim.kernel import Event, EventQueue, Simulator, SimulationError
+from repro.sim.kernel import Event, Simulator, SimulationError
 from repro.sim.component import Component
 from repro.sim.randomness import DeterministicRandom, PerturbationModel
 from repro.sim.stats import Counter, Histogram, ByteCounter, StatGroup
 
 __all__ = [
     "Event",
-    "EventQueue",
     "Simulator",
     "SimulationError",
     "Component",

@@ -161,7 +161,7 @@ class TestCanonicalExperiment:
     def test_result_neutral_knobs_hash_identically(self):
         plain = ExperimentSpec.make("oltp")
         knobbed = ExperimentSpec.make(
-            "oltp", jobs=4, scheduler="wheel", enable_checker=True, sanitize=True
+            "oltp", jobs=4, cache_array="dict", enable_checker=True, sanitize=True
         )
         assert self._doc(plain) == self._doc(knobbed)
 

@@ -472,6 +472,45 @@ class TestJournalRecovery:
         validate_metrics_snapshot(snapshot)
         assert snapshot["jobs"]["jobs_recovered"] == 1
 
+    def test_stale_spec_is_failed_and_the_rest_recovered(self, tmp_path):
+        """A journal written before a config knob was removed must not stop
+        recovery: the stale job is journalled as failed, the other one is
+        resubmitted and completes."""
+        config, profile = SPEC.config(), SPEC.profile()
+        stale_spec = dict(SPEC.as_document(), overrides=[["scheduler", "wheel"]])
+        with JobJournal(tmp_path / "journal.jsonl", fsync=False) as journal:
+            journal.append(
+                "job-submitted",
+                job="job-1",
+                priority=0,
+                spec=stale_spec,
+                keys=[replica_key(config, profile, 0)],
+            )
+            journal.append(
+                "job-submitted",
+                job="job-2",
+                priority=0,
+                spec=SPEC.as_document(),
+                keys=[replica_key(config, profile, 0)],
+            )
+
+        async def scenario(journal):
+            async with JobManager(journal=journal, sleep=_no_sleep) as manager:
+                handles = manager.recover()
+                await manager.drain()
+                return [await handle.result() for handle in handles]
+
+        journal = JobJournal(tmp_path / "journal.jsonl", fsync=False)
+        results = asyncio.run(scenario(journal))
+        journal.close()
+        assert results == [_clean_result(SPEC)]
+        states = JobJournal(tmp_path / "journal.jsonl").job_states()
+        assert states["job-1"].terminal == "job-failed"
+        assert states["job-2"].recovered_to == "job-3"
+        assert states["job-3"].terminal == "job-completed"
+        records = (tmp_path / "journal.jsonl").read_text()
+        assert "unknown SystemConfig override 'scheduler'" in records
+
     def test_recover_is_a_noop_without_unfinished_work(self, tmp_path):
         async def scenario():
             journal = JobJournal(tmp_path / "journal.jsonl", fsync=False)

@@ -61,8 +61,22 @@ class TestReplicaKey:
 
     def test_key_stable_under_result_neutral_knobs(self):
         plain = _entry()
-        knobbed = _entry(jobs=8, scheduler="heapq", enable_checker=True)
+        knobbed = _entry(jobs=8, message_pooling=False, enable_checker=True)
         assert replica_key(*plain, 0) == replica_key(*knobbed, 0)
+
+    def test_key_matches_the_value_recorded_before_the_kernel_rewrite(self):
+        """Dropping the kernel's config knobs must not move cache keys:
+        entries written before the rewrite stay addressable."""
+        assert replica_key(*_entry(), 0) == (
+            "9b0091206687b88fa930283242c9b7c77ced960f72e1f09c9bc2a1226231e40d"
+        )
+        spec = ExperimentSpec.make(
+            "dss", protocol="dirclassic", network="torus", scale=0.02,
+            consistency="tso", perturbation_replicas=2,
+        )
+        assert replica_key(spec.config(), spec.profile(), 1) == (
+            "5173f94ef65aa9919b2d5abdba6e25299ab10002260d7ed5ec816684f779960b"
+        )
 
     def test_key_changes_with_result_relevant_fields(self):
         config, profile = _entry(perturbation_replicas=2)

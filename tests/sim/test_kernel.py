@@ -1,8 +1,13 @@
-"""Unit tests for the discrete-event kernel."""
+"""Unit tests for the discrete-event kernel.
+
+``TestEventQueue`` checks the heapq oracle the property tests compare the
+kernel against; the other classes check :class:`repro.sim.kernel.Simulator`.
+"""
 
 import pytest
 
-from repro.sim.kernel import EventQueue, SimulationError
+from repro.sim.kernel import SimulationError, Simulator
+from tests.reference_kernel import EventQueue, ReferenceSimulator
 
 
 class TestEventQueue:
@@ -255,3 +260,268 @@ class TestSimulator:
         sim.schedule(2, lambda: None)
         assert list(sim.iterate_events(until=9)) == [2]
         assert sim.now == 9
+
+
+class TestArgsAndCancellation:
+    def test_arg_payload_dispatch(self, sim):
+        seen = []
+        sim.schedule(3, seen.append, arg="payload")
+        sim.schedule(4, lambda: seen.append("plain"))
+        sim.run()
+        assert seen == ["payload", "plain"]
+
+    def test_cancel_then_reschedule_at_same_tick(self, sim):
+        """A cancelled event must not fire even when a replacement is
+        scheduled for the identical tick (and priority)."""
+        fired = []
+        victim = sim.schedule(7, lambda: fired.append("victim"))
+        victim.cancel()
+        sim.schedule(7, lambda: fired.append("replacement"))
+        sim.run()
+        assert fired == ["replacement"]
+        assert sim.now == 7
+
+    def test_cancel_reschedule_same_tick_mid_run(self, sim):
+        """Cancel-and-replace issued from an earlier event at the same tick
+        as the victim."""
+        fired = []
+        victim = sim.schedule(10, lambda: fired.append("victim"))
+
+        def replace() -> None:
+            victim.cancel()
+            sim.schedule(0, lambda: fired.append("replacement"))
+
+        sim.schedule(10, replace, priority=-1)
+        sim.run()
+        assert fired == ["replacement"]
+
+    def test_cancel_of_dispatched_handle_is_noop(self, sim):
+        """A handle whose event already ran must not touch later events."""
+        stale = sim.schedule(1, lambda: None)
+        sim.run()
+        fired = []
+        sim.schedule(2, lambda: fired.append("fresh"))
+        stale.cancel()
+        assert sim.pending_events == 1
+        sim.run()
+        assert fired == ["fresh"]
+
+    def test_cancel_twice_counts_once(self, sim):
+        event = sim.schedule(3, lambda: None)
+        event.cancel()
+        event.cancel()
+        assert event.cancelled
+        assert sim.pending_events == 0
+
+    def test_cancel_later_entry_of_the_bucket_being_drained(self, sim):
+        fired = []
+        handles = []
+
+        def first() -> None:
+            fired.append("first")
+            handles[0].cancel()
+
+        sim.schedule(5, first)
+        handles.append(sim.schedule(5, lambda: fired.append("victim")))
+        sim.schedule(5, lambda: fired.append("last"))
+        assert sim.run() == 2
+        assert fired == ["first", "last"]
+        assert sim.events_processed == 2
+
+    def test_self_cancel_inside_callback_is_noop(self, sim):
+        handles = []
+        fired = []
+
+        def body() -> None:
+            handles[0].cancel()
+            fired.append(sim.pending_events)
+
+        handles.append(sim.schedule(1, body))
+        sim.schedule(1, lambda: None)
+        sim.run()
+        assert fired == [1]
+        assert sim.events_processed == 2
+
+    def test_order_across_until_boundaries_matches_reference(self):
+        logs = {}
+        for name, target in (("kernel", Simulator()),
+                             ("reference", ReferenceSimulator())):
+            fired = []
+            for delay in (5, 10, 15, 20):
+                target.schedule(
+                    delay, lambda d=delay, f=fired, t=target: f.append((d, t.now))
+                )
+            target.run(until=10)
+            assert target.now == 10
+            target.schedule(2, lambda f=fired, t=target: f.append(("late", t.now)))
+            target.run()
+            logs[name] = fired
+        assert logs["kernel"] == logs["reference"]
+
+
+class TestBatchedScheduling:
+    def test_batched_and_handle_entries_share_fifo(self, sim):
+        log = []
+        sim.schedule_batched(5, log.append, "pair-1")
+        sim.schedule(5, lambda: log.append("event"))
+        sim.schedule_batched(5, log.append, "pair-2")
+        sim.run()
+        assert log == ["pair-1", "event", "pair-2"]
+
+    def test_noarg_pair_dispatches_without_payload(self, sim):
+        log = []
+        sim.schedule_batched(3, lambda: log.append("called"))
+        sim.run()
+        assert log == ["called"]
+
+    def test_negative_delay_rejected(self, sim):
+        with pytest.raises(SimulationError):
+            sim.schedule_batched(-1, lambda: None)
+
+    def test_schedule_batched_at_past_rejected(self, sim):
+        sim.schedule(5, lambda: None)
+        sim.run()
+        with pytest.raises(SimulationError):
+            sim.schedule_batched_at(2, lambda: None)
+
+    def test_schedule_batched_at_orders_with_relative(self, sim):
+        log = []
+        sim.schedule_batched_at(7, log.append, "absolute")
+        sim.schedule_batched(7, log.append, "relative")
+        sim.schedule_batched_at(6, log.append, "earlier")
+        sim.run()
+        assert log == ["earlier", "absolute", "relative"]
+
+    def test_nonzero_priority_orders_after_priority_zero(self, sim):
+        log = []
+        sim.schedule_batched(4, log.append, "fanout", 1)
+        sim.schedule_batched(4, log.append, "lane", 0)
+        sim.run()
+        assert log == ["lane", "fanout"]
+        assert sim.events_processed == 2
+
+    def test_pending_events_counts_batched_entries(self, sim):
+        sim.schedule_batched(1, lambda: None)
+        sim.schedule_batched(1, lambda: None)
+        sim.schedule(1, lambda: None)
+        assert sim.pending_events == 3
+        sim.run()
+        assert sim.pending_events == 0
+
+    def test_pending_events_exact_inside_callbacks(self, sim):
+        seen = []
+        for _ in range(3):
+            sim.schedule_batched(
+                2, lambda: seen.append((sim.pending_events, sim.events_processed))
+            )
+        sim.run()
+        assert seen == [(2, 1), (1, 2), (0, 3)]
+
+    def test_cancelled_event_in_bucket_is_skipped_and_uncounted(self, sim):
+        log = []
+        sim.schedule_batched(2, log.append, "before")
+        event = sim.schedule(2, lambda: log.append("cancelled"))
+        sim.schedule_batched(2, log.append, "after")
+        event.cancel()
+        assert sim.pending_events == 2
+        processed = sim.run()
+        assert log == ["before", "after"]
+        assert processed == 2
+        assert sim.events_processed == 2
+
+    def test_stop_mid_bucket_leaves_rest_queued(self, sim):
+        log = []
+        sim.schedule_batched(1, lambda _: (log.append("first"), sim.stop()), 0)
+        sim.schedule_batched(1, log.append, "second")
+        sim.run()
+        assert log == ["first"]
+        assert sim.pending_events == 1
+        sim.run()
+        assert log == ["first", "second"]
+
+    def test_step_dispatches_one_entry_of_a_bucket(self, sim):
+        log = []
+        sim.schedule_batched(1, log.append, "a")
+        sim.schedule_batched(1, log.append, "b")
+        assert sim.step() is True
+        assert log == ["a"]
+        assert sim.events_processed == 1
+        assert sim.step() is True
+        assert sim.step() is False
+        assert log == ["a", "b"]
+
+    def test_iterate_events_yields_once_per_entry(self, sim):
+        log = []
+        sim.schedule_batched(2, log.append, "x")
+        sim.schedule_batched(2, log.append, "y")
+        sim.schedule(5, lambda: log.append("z"))
+        assert list(sim.iterate_events()) == [2, 2, 5]
+        assert log == ["x", "y", "z"]
+        assert sim.events_processed == 3
+
+    def test_same_key_work_runs_in_the_same_drain(self, sim):
+        log = []
+
+        def first(arg=None):
+            log.append("first")
+            sim.schedule_batched(0, log.append, "nested")
+
+        sim.schedule_batched(3, first, None)
+        sim.run()
+        assert log == ["first", "nested"]
+        assert sim.now == 3
+        assert sim.events_processed == 2
+
+    def test_reset_discards_pending_entries(self, sim):
+        sim.schedule_batched(4, lambda: None)
+        sim.reset()
+        assert sim.pending_events == 0
+        sim.run()
+        assert sim.events_processed == 0
+
+    def test_lower_priority_scheduled_mid_drain_runs_first(self, sim):
+        """A callback scheduling a lower priority at the current tick runs
+        it before the rest of the tick's bucket."""
+        log = []
+
+        def first(arg=None):
+            log.append("a")
+            sim.schedule(0, lambda: log.append("neg"), priority=-1)
+
+        sim.schedule_batched(5, first, None)
+        sim.schedule_batched(5, log.append, "b")
+        sim.run()
+        assert log == ["a", "neg", "b"]
+
+    def test_raising_callback_keeps_counts_truthful(self, sim):
+        """An exception mid-bucket consumes the raising entry only."""
+        log = []
+
+        def boom(arg=None):
+            raise RuntimeError("mid-bucket failure")
+
+        sim.schedule_batched(5, log.append, "before")
+        sim.schedule_batched(5, boom, None)
+        sim.schedule_batched(5, log.append, "after")
+        with pytest.raises(RuntimeError):
+            sim.run()
+        assert log == ["before"]
+        assert sim.pending_events == 1
+        sim.run()
+        assert log == ["before", "after"]
+        assert sim.pending_events == 0
+
+    def test_raising_callback_in_step_keeps_counts(self, sim):
+        log = []
+
+        def boom(arg=None):
+            raise RuntimeError("mid-bucket failure")
+
+        sim.schedule_batched(5, boom, None)
+        sim.schedule_batched(5, log.append, "after")
+        with pytest.raises(RuntimeError):
+            sim.step()
+        assert sim.pending_events == 1
+        assert sim.step() is True
+        assert log == ["after"]
+        assert sim.pending_events == 0
