@@ -294,40 +294,25 @@ class Simulator:
                     left -= 1
                     if not left or self._halt:
                         break
-            except BaseException:
-                # The raising entry counts as dispatched; the rest stays
-                # queued.
-                self._settle(key, bucket, budget - processed - left + 1)
-                raise
-            # Inlined _settle (once per bucket on the hot path).
-            self._drain_it = None
-            done = budget - processed - left
-            processed += done
-            self._events_processed += done
-            if done < len(bucket):
-                del bucket[:done]
-            elif keys[0] == key:
-                heappop(keys)
-                del buckets[key]
-            else:
-                bucket.clear()
+            finally:
+                # Settle even when a callback raised: the raising entry
+                # counts as dispatched, the rest stays queued.
+                self._drain_it = None
+                done = len(bucket) - it.__length_hint__()
+                processed += done
+                self._events_processed += done
+                if done < len(bucket):
+                    del bucket[:done]
+                elif keys[0] == key:
+                    heappop(keys)
+                    del buckets[key]
+                else:
+                    bucket.clear()
             if self._halt:
                 if self._stop_requested:
                     break
                 self._halt = False
         return processed
-
-    def _settle(self, key: int, bucket: list, done: int) -> None:
-        """Drop the first ``done`` entries of a drained bucket."""
-        self._drain_it = None
-        self._events_processed += done
-        if done < len(bucket):
-            del bucket[:done]
-        elif self._keys[0] == key:
-            heappop(self._keys)
-            del self._buckets[key]
-        else:
-            bucket.clear()
 
     def _has_due(self, until: int) -> bool:
         """Whether an entry at or before ``until`` is still queued."""

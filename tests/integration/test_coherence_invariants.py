@@ -43,15 +43,15 @@ PROTOCOLS = ("ts-snoop", "dirclassic", "diropt", "mesi-dir", "moesi-snoop")
 SNOOPERS = ("ts-snoop", "moesi-snoop")
 
 
-def _run_with_invariant_hook(
-    protocol, workload="barnes", scale=0.05, check_every=1500
-):
+def _run_with_invariant_hook(protocol, workload="barnes", scale=0.05, check_every=1500):
     """Run one workload, re-checking SWMR between event slices.
 
     Returns ``(system, mid_run_checks)`` with the system quiescent.
     """
     config = SystemConfig(
-        protocol=protocol, enable_checker=True, sanitize=SANITIZE,
+        protocol=protocol,
+        enable_checker=True,
+        sanitize=SANITIZE,
     )
     profile = get_profile(workload).scaled(scale)
     streams = build_streams(profile, config)
@@ -64,9 +64,7 @@ def _run_with_invariant_hook(
         processed = sim.run(max_events=check_every)
         assert processed > 0, f"{protocol}: deadlocked mid-run"
         problems = check_swmr_invariant(system.controllers)
-        assert not problems, (
-            f"{protocol}: SWMR violated mid-run: "
-            f"{problems[:5]}")
+        assert not problems, f"{protocol}: SWMR violated mid-run: {problems[:5]}"
         checks += 1
     # Let in-flight writebacks and acknowledgements drain so the home state
     # is quiescent before the directory invariants are checked.
