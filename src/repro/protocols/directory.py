@@ -107,9 +107,8 @@ class DirectoryCacheController(CacheControllerBase):
         self.request_network = request_network
         self.forward_network = forward_network
         self.response_network = response_network
-        #: Pre-bound send: delayed responses ride the per-tick dispatch
-        #: batches with the message as the payload (no per-response closure,
-        #: no kernel event per message).
+        #: Pre-bound send: delayed responses are scheduled with the message
+        #: as the payload (no per-response closure).
         self._send_on_response = response_network.send
         self._sched_batched = sim.schedule_batched
         self.checker = checker
@@ -484,10 +483,10 @@ class DirectoryMemoryController(Component):
         self.request_network = request_network
         self.forward_network = forward_network
         self.response_network = response_network
-        # Pre-bound sends: every delayed directory action rides the per-tick
-        # dispatch batches with the message as the payload.  All of them
-        # share one delay (the directory+memory access), so a request tick's
-        # whole fan-out lands in a single kernel event.
+        # Pre-bound sends: every delayed directory action is scheduled with
+        # the message as the payload.  All of them share one delay (the
+        # directory+memory access), so a request tick's whole fan-out lands
+        # in one kernel bucket.
         self._send_on_response = response_network.send
         self._send_on_forward = forward_network.send
         self._sched_batched = sim.schedule_batched

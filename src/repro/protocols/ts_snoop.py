@@ -20,9 +20,8 @@ processors' transactions) is left disabled, as in the paper's evaluation.
 Both can be toggled for ablation studies.
 
 Delayed data responses (memory data, cache-to-cache data, writeback data)
-are fire-and-forget sends, so they ride the kernel's per-tick batched
-dispatch: an ordered broadcast that triggers responses from many nodes at
-one instant costs O(distinct send ticks) kernel events, not O(messages).
+are fire-and-forget sends, so they take the kernel's handle-free
+``schedule_batched`` path.
 
 The nodes of one system share the address network's per-block ``interest``
 mask (bit ``n`` for node ``n``), which lets the analytical network skip the
@@ -125,9 +124,8 @@ class TSSnoopNode(CacheControllerBase):
         )
         self.address_network = address_network
         self.data_network = data_network
-        #: Pre-bound send: delayed data responses ride the per-tick dispatch
-        #: batches with the message as the payload (no per-response closure,
-        #: no kernel event per message).
+        #: Pre-bound send: delayed data responses are scheduled with the
+        #: message as the payload (no per-response closure).
         self._send_on_data = data_network.send
         self._sched_batched = sim.schedule_batched
         self.prefetch = prefetch
