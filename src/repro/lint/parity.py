@@ -1,10 +1,11 @@
 """Registry-parity rules (REG001, REG002).
 
 REG001: every registered fast implementation must mirror its reference's
-public API: ``CACHE_ARRAYS`` ("dict" is the reference).  The rule imports the live registries and
-compares public method signatures with :mod:`inspect` -- names, parameter
-names and parameter kinds -- so API drift fails at lint time instead of
-surfacing as an ``AttributeError`` deep inside an equivalence run.
+public API: ``CACHE_ARRAYS`` ("dict" is the reference).  The rule imports
+the live registries and compares public method signatures with
+:mod:`inspect` -- names, parameter names and parameter kinds -- so API
+drift fails at lint time instead of surfacing as an ``AttributeError``
+deep inside an equivalence run.
 
 Fast implementations may *add* public methods (tuning knobs, extra
 introspection); they may never lose or reshape a reference method.

@@ -3,8 +3,9 @@
 The kernel is deliberately small: a :class:`Simulator` that owns the clock
 and one event queue dispatched in (time, priority, FIFO) order, a
 :class:`Component` base class for model objects that schedule events,
-deterministic random number management (including the paper's "perturbation" methodology, Section 4.3),
-and statistics containers used throughout the library.
+deterministic random number management (including the paper's
+"perturbation" methodology, Section 4.3), and statistics containers used
+throughout the library.
 """
 
 from repro.sim.kernel import Event, Simulator, SimulationError

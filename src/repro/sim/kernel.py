@@ -94,9 +94,7 @@ class Event:
         # Entries before the drain position of the bucket being drained
         # have been dispatched; deleting at or after it is safe for the
         # running list iterator.
-        start = 0
-        if sim._drain_it is not None and sim._current == self._key:
-            start = len(bucket) - sim._drain_it.__length_hint__()
+        start = sim._drained() if sim._current == self._key else 0
         entry = self._entry
         for index in range(start, len(bucket)):
             if bucket[index] is entry:
