@@ -1,7 +1,9 @@
 """Executable coherence invariants, checked inside real protocol runs.
 
 Three invariant layers run against every protocol (TS-Snoop, DirClassic,
-DirOpt, MESIDir, MOESISnoop):
+DirOpt, MESIDir, MOESISnoop), on the bucket-queue kernel and on the heapq
+oracle of ``tests.reference_kernel``; the two kernels must also agree on
+every observable of the sliced runs:
 
 * **single-writer / multiple-reader** over the stable cache states,
   re-checked periodically *during* the run (between event slices) and at
@@ -34,17 +36,25 @@ from repro.processor.consistency import (
     check_snoop_home_invariant,
     check_swmr_invariant,
 )
+from repro.sim.kernel import Simulator
+from repro.system import builder
 from repro.system.builder import SystemBuilder, build_streams
 from repro.system.config import SystemConfig
 from repro.workloads.profiles import get_profile
+from tests.reference_kernel import ReferenceSimulator
 
 SANITIZE = os.environ.get("REPRO_SANITIZE", "") == "1"
 PROTOCOLS = ("ts-snoop", "dirclassic", "diropt", "mesi-dir", "moesi-snoop")
 SNOOPERS = ("ts-snoop", "moesi-snoop")
+KERNELS = {"bucket": Simulator, "heapq": ReferenceSimulator}
+CASES = [(protocol, kernel) for protocol in PROTOCOLS for kernel in sorted(KERNELS)]
 
 
-def _run_with_invariant_hook(protocol, workload="barnes", scale=0.05, check_every=1500):
-    """Run one workload, re-checking SWMR between event slices.
+def _run_with_invariant_hook(
+    protocol, kernel="bucket", workload="barnes", scale=0.05, check_every=1500
+):
+    """Run one workload on ``KERNELS[kernel]``, re-checking SWMR between
+    event slices.
 
     Returns ``(system, mid_run_checks)`` with the system quiescent.
     """
@@ -55,7 +65,10 @@ def _run_with_invariant_hook(protocol, workload="barnes", scale=0.05, check_ever
     )
     profile = get_profile(workload).scaled(scale)
     streams = build_streams(profile, config)
-    system = SystemBuilder(config).build(streams)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(builder, "Simulator", KERNELS[kernel])
+        system = SystemBuilder(config).build(streams)
+    assert type(system.sim) is KERNELS[kernel]
     for processor in system.processors:
         processor.start()
     sim = system.sim
@@ -86,9 +99,9 @@ def _final_invariants(protocol, system):
 
 
 class TestInvariantsInsideProtocolScenarios:
-    @pytest.mark.parametrize("protocol", PROTOCOLS)
-    def test_invariants_hold_throughout(self, protocol):
-        system, checks = _run_with_invariant_hook(protocol)
+    @pytest.mark.parametrize("protocol,kernel", CASES)
+    def test_invariants_hold_throughout(self, protocol, kernel):
+        system, checks = _run_with_invariant_hook(protocol, kernel)
         assert checks >= 1, "the mid-run hook never fired"
         assert system.total_misses() > 0, "workload produced no misses"
         system.checker.assert_clean()
@@ -96,6 +109,19 @@ class TestInvariantsInsideProtocolScenarios:
         assert system.checker.reads_recorded > 0
         problems = _final_invariants(protocol, system)
         assert not problems, f"{protocol}: {problems[:8]}"
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_kernels_agree_on_observables(self, protocol):
+        bucket, bucket_checks = _run_with_invariant_hook(protocol, "bucket")
+        heapq, heapq_checks = _run_with_invariant_hook(protocol, "heapq")
+        assert bucket_checks == heapq_checks
+        assert bucket.sim.events_processed == heapq.sim.events_processed
+        assert bucket.total_misses() == heapq.total_misses()
+        assert (bucket.total_cache_to_cache_misses()
+                == heapq.total_cache_to_cache_misses())
+        assert bucket.finish_time() == heapq.finish_time()
+        assert bucket.checker.writes_recorded == heapq.checker.writes_recorded
+        assert bucket.checker.reads_recorded == heapq.checker.reads_recorded
 
     def test_invariants_hold_on_torus_network(self):
         config_extra = {"network": "torus"}

@@ -1,13 +1,24 @@
 """Unit tests for the discrete-event kernel.
 
 ``TestEventQueue`` checks the heapq oracle the property tests compare the
-kernel against; the other classes check :class:`repro.sim.kernel.Simulator`.
+kernel against.  The other classes pin the :class:`repro.sim.kernel.Simulator`
+API; each runs on the bucket-queue kernel and on the heapq oracle
+(:class:`tests.reference_kernel.ReferenceSimulator`), so the oracle the
+order property and whole-run differential tests trust meets the same
+hand-written contract as the kernel it checks.
 """
 
 import pytest
 
 from repro.sim.kernel import SimulationError, Simulator
 from tests.reference_kernel import EventQueue, ReferenceSimulator
+
+KERNELS = {"bucket": Simulator, "heapq": ReferenceSimulator}
+
+
+@pytest.fixture(params=sorted(KERNELS))
+def sim(request):
+    return KERNELS[request.param]()
 
 
 class TestEventQueue:
